@@ -1,5 +1,6 @@
 //! Set-associative write-back cache with MSHRs and optional coherence.
 
+use crate::presence::PresenceTable;
 use accesys_sim::FxHashMap;
 use accesys_sim::{units, Ctx, MemCmd, Module, ModuleId, Msg, Packet, PacketBox, Stats, Tick};
 use std::collections::VecDeque;
@@ -80,7 +81,7 @@ pub struct CoherentConfig {
     pub io_stream_base: u16,
 }
 
-#[derive(Copy, Clone, Debug)]
+#[derive(Copy, Clone, Debug, Default)]
 struct Line {
     tag: u64,
     valid: bool,
@@ -107,11 +108,25 @@ struct Parent {
 /// Responds to `ReadReq`/`WriteReq` of any size (split into lines) and to
 /// `SnoopInv` probes (invalidate + write back dirty data + ack). Misses
 /// are forwarded as line fills to the configured downstream module.
+///
+/// In the coherence-point role ([`Cache::with_coherence`]) the cache
+/// also keeps a presence directory: two bits per line (CPU side, I/O
+/// side) in 1 KiB pages of 4096 lines, one page per 4096-line region
+/// ever touched, found through a small page index. It is exact — it
+/// gives the same answers as a per-line map — and non-inclusive: a
+/// line's bits outlive the line's eviction from this cache, because a
+/// CPU-side cache may still hold it.
 pub struct Cache {
     name: String,
     cfg: CacheConfig,
     downstream: ModuleId,
-    sets: Vec<Vec<Line>>,
+    /// All sets, `assoc` ways each, set after set.
+    lines: Vec<Line>,
+    assoc: usize,
+    num_sets: u64,
+    line_shift: u32,
+    hit_ticks: Tick,
+    lookup_ticks: Tick,
     lru_clock: u64,
     /// line addr -> ops waiting on an in-flight fill.
     mshrs: FxHashMap<u64, Vec<LineOp>>,
@@ -120,7 +135,7 @@ pub struct Cache {
     parents: FxHashMap<u64, Parent>,
     /// Coherence directory (LLC role only).
     coherent: Option<CoherentConfig>,
-    presence: FxHashMap<u64, u8>,
+    presence: PresenceTable,
     probing: FxHashMap<u64, Vec<LineOp>>,
     /// Emptied waiter lists kept for reuse: every miss needs a fresh
     /// `Vec<LineOp>`, and recycling the retired ones keeps the steady
@@ -143,30 +158,24 @@ impl Cache {
     /// Create a cache forwarding misses to `downstream`.
     pub fn new(name: &str, cfg: CacheConfig, downstream: ModuleId) -> Self {
         assert!(cfg.assoc >= 1 && cfg.line_bytes.is_power_of_two());
-        let sets = (0..cfg.num_sets())
-            .map(|_| {
-                vec![
-                    Line {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        lru: 0
-                    };
-                    cfg.assoc as usize
-                ]
-            })
-            .collect();
+        let num_sets = cfg.num_sets();
+        let assoc = cfg.assoc as usize;
         Cache {
             name: name.to_string(),
             cfg,
             downstream,
-            sets,
+            lines: vec![Line::default(); num_sets as usize * assoc],
+            assoc,
+            num_sets,
+            line_shift: cfg.line_bytes.trailing_zeros(),
+            hit_ticks: units::ns(cfg.hit_latency_ns),
+            lookup_ticks: units::ns(cfg.lookup_latency_ns),
             lru_clock: 0,
             mshrs: FxHashMap::default(),
             stalled: VecDeque::new(),
             parents: FxHashMap::default(),
             coherent: None,
-            presence: FxHashMap::default(),
+            presence: PresenceTable::new(cfg.line_bytes),
             probing: FxHashMap::default(),
             spare_waiters: Vec::new(),
             hits: 0,
@@ -206,12 +215,20 @@ impl Cache {
         addr & !u64::from(self.cfg.line_bytes - 1)
     }
 
-    fn set_index(&self, line_addr: u64) -> usize {
-        ((line_addr / u64::from(self.cfg.line_bytes)) % self.cfg.num_sets()) as usize
+    /// `(set, tag)` of a line address.
+    fn set_and_tag(&self, line_addr: u64) -> (usize, u64) {
+        let line = line_addr >> self.line_shift;
+        ((line % self.num_sets) as usize, line / self.num_sets)
     }
 
-    fn tag_of(&self, line_addr: u64) -> u64 {
-        line_addr / u64::from(self.cfg.line_bytes) / self.cfg.num_sets()
+    /// The ways of `set`.
+    fn set_lines(&self, set: usize) -> &[Line] {
+        &self.lines[set * self.assoc..(set + 1) * self.assoc]
+    }
+
+    /// Index into `lines` of `way` in `set`.
+    fn slot(&self, set: usize, way: usize) -> usize {
+        set * self.assoc + way
     }
 
     fn side_of(&self, stream: u16) -> CoherenceSide {
@@ -236,18 +253,18 @@ impl Cache {
         self.spare_waiters.push(list);
     }
 
-    fn lookup(&mut self, line_addr: u64) -> Option<(usize, usize)> {
-        let set = self.set_index(line_addr);
-        let tag = self.tag_of(line_addr);
-        self.sets[set]
+    /// Index into `lines` of the valid line holding `line_addr`.
+    fn lookup(&self, line_addr: u64) -> Option<usize> {
+        let (set, tag) = self.set_and_tag(line_addr);
+        self.set_lines(set)
             .iter()
             .position(|l| l.valid && l.tag == tag)
-            .map(|way| (set, way))
+            .map(|way| self.slot(set, way))
     }
 
-    fn touch(&mut self, set: usize, way: usize) {
+    fn touch(&mut self, slot: usize) {
         self.lru_clock += 1;
-        self.sets[set][way].lru = self.lru_clock;
+        self.lines[slot].lru = self.lru_clock;
     }
 
     /// One line of a parent request finished; respond upstream when all
@@ -276,11 +293,10 @@ impl Cache {
     /// Install a fetched line, evicting as needed; returns the victim
     /// writeback packet if a dirty line was displaced.
     fn install(&mut self, line_addr: u64, dirty: bool, ctx: &mut Ctx) {
-        let set = self.set_index(line_addr);
-        let tag = self.tag_of(line_addr);
+        let (set, tag) = self.set_and_tag(line_addr);
         // Prefer an invalid way, else the LRU way.
         let way = {
-            let lines = &self.sets[set];
+            let lines = self.set_lines(set);
             lines.iter().position(|l| !l.valid).unwrap_or_else(|| {
                 lines
                     .iter()
@@ -290,14 +306,13 @@ impl Cache {
                     .expect("nonzero associativity")
             })
         };
-        let victim = self.sets[set][way];
+        let slot = self.slot(set, way);
+        let victim = self.lines[slot];
         if victim.valid {
             self.evictions += 1;
             if victim.dirty {
                 self.writebacks += 1;
-                let victim_addr = (victim.tag * self.cfg.num_sets()
-                    + self.set_index_from_tagline(set))
-                    * u64::from(self.cfg.line_bytes);
+                let victim_addr = (victim.tag * self.num_sets + set as u64) << self.line_shift;
                 let wb = Packet::request(
                     ctx.alloc_pkt_id(),
                     MemCmd::WriteReq,
@@ -309,17 +324,13 @@ impl Cache {
                 ctx.send(self.downstream, 0, Msg::packet(wb));
             }
         }
-        self.sets[set][way] = Line {
+        self.lines[slot] = Line {
             tag,
             valid: true,
             dirty,
             lru: 0,
         };
-        self.touch(set, way);
-    }
-
-    fn set_index_from_tagline(&self, set: usize) -> u64 {
-        set as u64
+        self.touch(slot);
     }
 
     /// Process a per-line op that is past coherence probing.
@@ -331,15 +342,15 @@ impl Cache {
     /// hit/miss outcome was already recorded.
     fn access_line_inner(&mut self, op: LineOp, ctx: &mut Ctx, count: bool) {
         self.note_presence(op);
-        if let Some((set, way)) = self.lookup(op.line_addr) {
+        if let Some(slot) = self.lookup(op.line_addr) {
             if count {
                 self.hits += 1;
             }
             if op.write {
-                self.sets[set][way].dirty = true;
+                self.lines[slot].dirty = true;
             }
-            self.touch(set, way);
-            let at = ctx.now() + units::ns(self.cfg.hit_latency_ns);
+            self.touch(slot);
+            let at = ctx.now() + self.hit_ticks;
             self.complete_line(op.parent, at, ctx);
             return;
         }
@@ -375,17 +386,13 @@ impl Cache {
             .pkt
             .stream;
         fill.route.push(ctx.self_id());
-        ctx.send(
-            self.downstream,
-            units::ns(self.cfg.lookup_latency_ns),
-            Msg::packet(fill),
-        );
+        ctx.send(self.downstream, self.lookup_ticks, Msg::packet(fill));
     }
 
     /// Track which side holds a line (coherence-point role only).
     fn note_presence(&mut self, op: LineOp) {
         if self.coherent.is_some() {
-            *self.presence.entry(op.line_addr).or_insert(0) |= op.side.bit();
+            self.presence.set(op.line_addr, op.side.bit());
         }
     }
 
@@ -393,7 +400,7 @@ impl Cache {
     /// hold the line.
     fn start_line(&mut self, op: LineOp, ctx: &mut Ctx) {
         if let Some(coh) = self.coherent {
-            let bits = self.presence.get(&op.line_addr).copied().unwrap_or(0);
+            let bits = self.presence.get(op.line_addr);
             let other = bits & !op.side.bit();
             if other & CoherenceSide::Cpu.bit() != 0 && op.side == CoherenceSide::Io {
                 // Probe the CPU-side cache before serving I/O traffic.
@@ -454,7 +461,7 @@ impl Cache {
             .expect("fill without MSHR entry");
         let dirty = waiters.iter().any(|w| w.write);
         self.install(line_addr, dirty, ctx);
-        let at = ctx.now() + units::ns(self.cfg.hit_latency_ns);
+        let at = ctx.now() + self.hit_ticks;
         for w in waiters.drain(..) {
             self.note_presence(w);
             self.complete_line(w.parent, at, ctx);
@@ -468,9 +475,8 @@ impl Cache {
 
     fn handle_snoop(&mut self, mut pkt: PacketBox, ctx: &mut Ctx) {
         self.snoops_received += 1;
-        if let Some((set, way)) = self.lookup(pkt.addr) {
-            let line = self.sets[set][way];
-            if line.dirty {
+        if let Some(slot) = self.lookup(pkt.addr) {
+            if self.lines[slot].dirty {
                 self.writebacks += 1;
                 let wb = Packet::request(
                     ctx.alloc_pkt_id(),
@@ -481,23 +487,17 @@ impl Cache {
                 );
                 ctx.send(self.downstream, 0, Msg::packet(wb));
             }
-            self.sets[set][way].valid = false;
+            self.lines[slot].valid = false;
         }
         pkt.make_response();
         if let Some(next) = pkt.route.pop() {
-            ctx.send(
-                next,
-                units::ns(self.cfg.lookup_latency_ns),
-                Msg::Packet(pkt),
-            );
+            ctx.send(next, self.lookup_ticks, Msg::Packet(pkt));
         }
     }
 
     fn handle_snoop_ack(&mut self, pkt: &Packet, ctx: &mut Ctx) {
         let line_addr = pkt.addr;
-        if let Some(bits) = self.presence.get_mut(&line_addr) {
-            *bits &= !CoherenceSide::Cpu.bit();
-        }
+        self.presence.clear(line_addr, CoherenceSide::Cpu.bit());
         if let Some(mut ops) = self.probing.remove(&line_addr) {
             for op in ops.drain(..) {
                 self.access_line(op, ctx);
@@ -790,6 +790,112 @@ mod tests {
         assert_eq!(stats.get_or_zero("llc.snoops_sent"), 1.0);
         assert_eq!(stats.get_or_zero("l1.snoops_received"), 1.0);
         assert_eq!(k.module::<Script>(io).unwrap().done.len(), 1);
+    }
+
+    #[test]
+    fn presence_outlives_llc_eviction() {
+        // The directory is non-inclusive: after the CPU's line leaves the
+        // LLC, the CPU-side cache may still hold it, so I/O traffic to it
+        // must still probe.
+        let mut k = Kernel::new();
+        let mem = k.add_module(Box::new(SimpleMemory::new("mem", MEM_CFG)));
+        let l1 = k.add_module(Box::new(Cache::new("l1", CacheConfig::l1(64 << 10), mem)));
+        let mut llc_cfg = CacheConfig::l1(1 << 10); // 4 sets x 4 ways
+        llc_cfg.mshrs = 16;
+        let llc = k.add_module(Box::new(Cache::new("llc", llc_cfg, mem).with_coherence(
+            CoherentConfig {
+                cpu_cache: l1,
+                io_stream_base: 16,
+            },
+        )));
+        let x = 0x4000;
+        let set_stride = 4 * 64;
+        let mut ops = vec![(x, 64, true)];
+        ops.extend((1..=4).map(|i| (x + i * set_stride, 64, false)));
+        let cpu = k.add_module(Box::new(Script {
+            target: llc,
+            ops,
+            next: 0,
+            stream: 0,
+            done: vec![],
+            name: "cpu_script",
+        }));
+        k.schedule(0, cpu, Msg::Timer(0));
+        k.run_until_idle().unwrap();
+        assert_eq!(
+            k.stats().get_or_zero("llc.writebacks"),
+            1.0,
+            "X was evicted"
+        );
+        let io = k.add_module(Box::new(Script {
+            target: llc,
+            ops: vec![(x, 64, false)],
+            next: 0,
+            stream: 16,
+            done: vec![],
+            name: "io_script",
+        }));
+        k.schedule(k.now(), io, Msg::Timer(0));
+        k.run_until_idle().unwrap();
+        let stats = k.stats();
+        assert_eq!(stats.get_or_zero("llc.misses"), 6.0, "the I/O read missed");
+        assert_eq!(stats.get_or_zero("llc.snoops_sent"), 1.0);
+        assert_eq!(stats.get_or_zero("l1.snoops_received"), 1.0);
+        assert_eq!(k.module::<Script>(io).unwrap().done.len(), 1);
+    }
+
+    #[test]
+    fn dirty_victim_writes_back_to_its_own_address_with_192_sets() {
+        /// Memory stub that records every write's address.
+        struct Recorder {
+            writes: Vec<u64>,
+        }
+        impl Module for Recorder {
+            fn name(&self) -> &str {
+                "mem"
+            }
+            fn handle(&mut self, msg: Msg, ctx: &mut Ctx) {
+                if let Msg::Packet(mut p) = msg {
+                    if p.cmd == MemCmd::WriteReq {
+                        self.writes.push(p.addr);
+                    }
+                    p.make_response();
+                    if let Some(next) = p.route.pop() {
+                        ctx.send(next, units::ns(50.0), Msg::Packet(p));
+                    }
+                }
+            }
+        }
+        let cfg = CacheConfig {
+            size_bytes: 48 << 10,
+            assoc: 4,
+            line_bytes: 64,
+            hit_latency_ns: 1.0,
+            lookup_latency_ns: 0.5,
+            mshrs: 8,
+        };
+        assert_eq!(cfg.num_sets(), 192);
+        let set_stride = 192 * 64;
+        for x in [0x2_0040, (1u64 << 40) + 0x7_1fc0] {
+            let mut k = Kernel::new();
+            let mem = k.add_module(Box::new(Recorder { writes: vec![] }));
+            let cache = k.add_module(Box::new(Cache::new("c", cfg, mem)));
+            // Dirty X, then four conflicting lines in its set evict it.
+            let mut ops = vec![(x, 64, true)];
+            ops.extend((1..=4).map(|i| (x + i * set_stride, 64, false)));
+            let s = k.add_module(Box::new(Script {
+                target: cache,
+                ops,
+                next: 0,
+                stream: 0,
+                done: vec![],
+                name: "script",
+            }));
+            k.schedule(0, s, Msg::Timer(0));
+            k.run_until_idle().unwrap();
+            assert_eq!(k.stats().get_or_zero("c.evictions"), 1.0);
+            assert_eq!(k.module::<Recorder>(mem).unwrap().writes, vec![x]);
+        }
     }
 
     #[test]

@@ -120,6 +120,23 @@ pub struct GraphRun {
     pub completions: Vec<(String, Tick)>,
 }
 
+/// One round dispatched through a [`GraphSession`]: the timing of a
+/// [`GraphRun`] without its report. Building the report (every module's
+/// counters, DRAM percentiles, job records) costs more than a small
+/// round's simulation, and the serving engines read only the ticks.
+#[derive(Clone, Debug)]
+pub struct GraphRound {
+    /// Compile-time scheduling shape.
+    pub plan: DispatchPlan,
+    /// Kernel tick at which the compiled program started.
+    pub start: Tick,
+    /// Kernel tick at which the last task retired (program end).
+    pub end: Tick,
+    /// `(label, tick)` for every completion-labeled task, as
+    /// [`GraphRun::completions`].
+    pub completions: Vec<(String, Tick)>,
+}
+
 struct InFlight {
     task: TaskId,
     cookie: u64,
@@ -468,36 +485,52 @@ impl Simulation {
     ///
     /// As [`Simulation::run_graph`].
     pub fn run_graph_timed(&mut self, graph: &TaskGraph) -> Result<GraphRun, RunError> {
-        let compiled = self.compile_graph(graph)?;
-        self.commit_cookies(compiled.plan.launches);
         let before = self.record_marks();
-        for (dev, job) in compiled.jobs {
-            self.enqueue(job, dev);
-        }
-        let start = self.kernel().now();
-        let (elapsed, marks) = self.run_program(compiled.program)?;
+        let (round, marks) = self.dispatch_round(graph)?;
         let mut phases = Vec::new();
         for pair in marks.windows(2) {
             let (label, t0) = (&pair[0].0, pair[0].1);
             let t1 = pair[1].1;
             phases.push((label.clone(), units::to_ns(t1 - t0)));
         }
-        let completions = marks
-            .iter()
-            .filter_map(|(label, tick)| label.strip_prefix("done:").map(|l| (l.to_string(), *tick)))
-            .collect();
         Ok(GraphRun {
             report: VitReport {
-                total_ticks: elapsed,
+                total_ticks: round.end - round.start,
                 phases,
                 jobs: self.records_since(&before),
                 stats: self.stats(),
             },
+            plan: round.plan,
+            start: round.start,
+            end: round.end,
+            completions: round.completions,
+        })
+    }
+
+    /// Compile `graph`, enqueue its jobs and run its CPU program; returns
+    /// the round's timing and the program's `(label, tick)` marks.
+    fn dispatch_round(
+        &mut self,
+        graph: &TaskGraph,
+    ) -> Result<(GraphRound, Vec<(String, Tick)>), RunError> {
+        let compiled = self.compile_graph(graph)?;
+        self.commit_cookies(compiled.plan.launches);
+        for (dev, job) in compiled.jobs {
+            self.enqueue(job, dev);
+        }
+        let start = self.kernel().now();
+        let (elapsed, marks) = self.run_program(compiled.program)?;
+        let completions = marks
+            .iter()
+            .filter_map(|(label, tick)| label.strip_prefix("done:").map(|l| (l.to_string(), *tick)))
+            .collect();
+        let round = GraphRound {
             plan: compiled.plan,
             start,
             end: start + elapsed,
             completions,
-        })
+        };
+        Ok((round, marks))
     }
 
     /// Execute `graph` and report as a [`RunReport`] (GEMM-shaped
@@ -543,9 +576,10 @@ impl Simulation {
 /// * **Monotone clock** — round `k+1` starts exactly where round `k`
 ///   ended (the kernel clock never rewinds between extends; asserted,
 ///   so a regression fails loudly instead of silently folding time).
-/// * **Deterministic** — an extend is [`Simulation::run_graph_timed`]
-///   on the shared simulation: same session, same graph sequence, same
-///   ticks, byte for byte.
+/// * **Deterministic** — an extend dispatches exactly as
+///   [`Simulation::run_graph_timed`] on the shared simulation, minus the
+///   report: same session, same graph sequence, same ticks, byte for
+///   byte.
 ///
 /// ```
 /// use accesys::{Simulation, SystemConfig};
@@ -579,8 +613,8 @@ impl GraphSession<'_> {
     ///
     /// Panics if the kernel clock ran backwards between rounds — a
     /// broken invariant, not an input error.
-    pub fn extend(&mut self, graph: &TaskGraph) -> Result<GraphRun, RunError> {
-        let run = self.sim.run_graph_timed(graph)?;
+    pub fn extend(&mut self, graph: &TaskGraph) -> Result<GraphRound, RunError> {
+        let (run, _) = self.sim.dispatch_round(graph)?;
         assert!(
             run.start >= self.last_end,
             "graph session clock ran backwards: round {} started at {} before the previous end {}",

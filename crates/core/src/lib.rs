@@ -58,7 +58,7 @@ pub use config::{
     kernel_threads_default, AccessMode, InterconnectKind, MemBackendConfig, MemoryLocation,
     PcieConfig, SystemConfig,
 };
-pub use dispatch::{DispatchPlan, GraphRun, GraphSession};
+pub use dispatch::{DispatchPlan, GraphRound, GraphRun, GraphSession};
 pub use error::{BuildError, Error, RunError};
 pub use report::{RunReport, VitReport};
 pub use system::Simulation;

@@ -2,7 +2,7 @@
 
 use crate::AddrRange;
 use accesys_sim::{
-    units, CreditClass, Ctx, MemCmd, Module, ModuleId, Msg, Packet, PacketBox, Stats,
+    units, CreditClass, Ctx, MemCmd, Module, ModuleId, Msg, Packet, PacketBox, Stats, Tick,
 };
 use std::collections::VecDeque;
 
@@ -57,6 +57,7 @@ pub struct PcieEndpoint {
     /// Additional inward routes (e.g. device-memory range → DevMem
     /// controller) for host-originated NUMA accesses.
     inward_routes: Vec<(AddrRange, ModuleId)>,
+    proc: Tick,
     outstanding_np: u32,
     tx_queue: VecDeque<PacketBox>,
     // stats
@@ -85,6 +86,7 @@ impl PcieEndpoint {
             mmio_target,
             mmio_range,
             inward_routes: Vec::new(),
+            proc: units::ns(cfg.proc_ns),
             outstanding_np: 0,
             tx_queue: VecDeque::new(),
             reads_sent: 0,
@@ -149,7 +151,7 @@ impl PcieEndpoint {
             }
             let mut pkt = self.tx_queue.pop_front().expect("front exists");
             pkt.route.push(ctx.self_id());
-            ctx.send(self.up_link, units::ns(self.cfg.proc_ns), Msg::Packet(pkt));
+            ctx.send(self.up_link, self.proc, Msg::Packet(pkt));
         }
     }
 }
@@ -176,7 +178,7 @@ impl Module for PcieEndpoint {
                         );
                         let target = self.inward_target(pkt.addr);
                         pkt.route.push(ctx.self_id());
-                        ctx.send(target, units::ns(self.cfg.proc_ns), Msg::Packet(pkt));
+                        ctx.send(target, self.proc, Msg::Packet(pkt));
                     } else {
                         // Completion for an outbound request.
                         self.completions += 1;
@@ -185,7 +187,7 @@ impl Module for PcieEndpoint {
                             self.outstanding_np = self.outstanding_np.saturating_sub(1);
                         }
                         if let Some(next) = pkt.route.pop() {
-                            ctx.send(next, units::ns(self.cfg.proc_ns), Msg::Packet(pkt));
+                            ctx.send(next, self.proc, Msg::Packet(pkt));
                         }
                         self.pump_tx(ctx);
                     }
@@ -195,7 +197,7 @@ impl Module for PcieEndpoint {
                     self.pump_tx(ctx);
                 } else {
                     // Response from device internals (MMIO completion).
-                    ctx.send(self.up_link, units::ns(self.cfg.proc_ns), Msg::Packet(pkt));
+                    ctx.send(self.up_link, self.proc, Msg::Packet(pkt));
                 }
             }
             Msg::Timer(_) => self.pump_tx(ctx),

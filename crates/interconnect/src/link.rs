@@ -107,6 +107,9 @@ pub struct PcieLink {
     name: String,
     cfg: PcieLinkConfig,
     dst: ModuleId,
+    gb_per_s: f64,
+    prop_delay: Tick,
+    replay: Tick,
     credits: [i64; 3],
     queues: [VecDeque<PacketBox>; 3],
     tx_free: Tick,
@@ -142,6 +145,9 @@ impl PcieLink {
             name: name.to_string(),
             cfg,
             dst,
+            gb_per_s: cfg.bandwidth_gbps(),
+            prop_delay: units::ns(cfg.prop_delay_ns),
+            replay: units::ns(cfg.replay_ns),
             credits,
             queues: Default::default(),
             tx_free: 0,
@@ -187,13 +193,13 @@ impl PcieLink {
                 }
                 let mut pkt = self.queues[ci].pop_front().expect("front exists");
                 self.credits[ci] -= wire;
-                let ser = units::transfer_time(wire as u64, self.cfg.bandwidth_gbps());
+                let ser = units::transfer_time(wire as u64, self.gb_per_s);
                 let tx_start = self.tx_free.max(ctx.now());
                 let mut tx_end = tx_start + ser;
                 // Data-link-layer error: the TLP is NAKed and replayed,
                 // costing one replay round plus a second serialization.
                 if self.cfg.error_rate > 0.0 && self.next_unit() < self.cfg.error_rate {
-                    tx_end += units::ns(self.cfg.replay_ns) + ser;
+                    tx_end += self.replay + ser;
                     self.replayed_tlps += 1;
                     self.busy += ser;
                     self.wire_bytes += wire as u64;
@@ -207,7 +213,7 @@ impl PcieLink {
                 }
                 // Store-and-forward: the receiver has the full TLP only
                 // after serialization plus wire propagation.
-                let arrive = tx_end + units::ns(self.cfg.prop_delay_ns);
+                let arrive = tx_end + self.prop_delay;
                 // Store-and-forward: the previous hop's buffer holds the
                 // TLP until we have fully transmitted it.
                 if pkt.ingress_link.is_valid() {

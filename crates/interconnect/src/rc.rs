@@ -76,6 +76,8 @@ pub struct RootComplex {
     /// bypass the SMMU/cache path and go straight to `sideband_target`.
     sideband_ranges: Vec<AddrRange>,
     sideband_target: ModuleId,
+    tlp_proc: Tick,
+    latency: Tick,
     proc_free: Tick,
     // stats
     up_requests: u64,
@@ -102,6 +104,8 @@ impl RootComplex {
             pcie_modules: Vec::new(),
             sideband_ranges: Vec::new(),
             sideband_target: ModuleId::INVALID,
+            tlp_proc: units::ns(cfg.tlp_proc_ns),
+            latency: units::ns(cfg.latency_ns),
             proc_free: 0,
             up_requests: 0,
             down_requests: 0,
@@ -161,8 +165,8 @@ impl RootComplex {
 
     fn process_at(&mut self, now: Tick) -> Tick {
         let start = self.proc_free.max(now);
-        self.proc_free = start + units::ns(self.cfg.tlp_proc_ns);
-        start + units::ns(self.cfg.latency_ns)
+        self.proc_free = start + self.tlp_proc;
+        start + self.latency
     }
 
     /// Return the ingress credit for a packet that arrived over the link.

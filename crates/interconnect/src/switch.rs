@@ -87,9 +87,10 @@ impl Default for PcieSwitchConfig {
 /// backpressure propagates hop by hop.
 pub struct PcieSwitch {
     name: String,
-    cfg: PcieSwitchConfig,
     up_link: ModuleId,
     ports: Vec<SwitchPort>,
+    tlp_proc: Tick,
+    latency: Tick,
     proc_free: Tick,
     // stats
     up_tlps: u64,
@@ -103,9 +104,10 @@ impl PcieSwitch {
     pub fn new(name: &str, cfg: PcieSwitchConfig, up_link: ModuleId) -> Self {
         PcieSwitch {
             name: name.to_string(),
-            cfg,
             up_link,
             ports: Vec::new(),
+            tlp_proc: units::ns(cfg.tlp_proc_ns),
+            latency: units::ns(cfg.latency_ns),
             proc_free: 0,
             up_tlps: 0,
             down_tlps: 0,
@@ -160,9 +162,9 @@ impl Module for PcieSwitch {
         };
         // Pipelined TLP-rate limit.
         let proc_start = self.proc_free.max(ctx.now());
-        self.proc_free = proc_start + units::ns(self.cfg.tlp_proc_ns);
+        self.proc_free = proc_start + self.tlp_proc;
         self.proc_stall_ns += units::to_ns(proc_start - ctx.now());
-        let out_at = proc_start + units::ns(self.cfg.latency_ns);
+        let out_at = proc_start + self.latency;
 
         let (egress, down) = if pkt.cmd.is_request() {
             pkt.route.push(ctx.self_id());

@@ -36,6 +36,8 @@ pub struct Xbar {
     cfg: XbarConfig,
     routes: Vec<(AddrRange, ModuleId)>,
     default_dst: ModuleId,
+    period: Tick,
+    latency: Tick,
     next_free: Tick,
     forwarded: u64,
     bytes: u64,
@@ -50,6 +52,8 @@ impl Xbar {
             cfg,
             routes: Vec::new(),
             default_dst,
+            period: units::clock_period_ghz(cfg.freq_ghz),
+            latency: units::ns(cfg.latency_ns),
             next_free: 0,
             forwarded: 0,
             bytes: 0,
@@ -88,7 +92,7 @@ impl Xbar {
 
     fn occupancy(&self, bytes: u32) -> Tick {
         let cycles = bytes.div_ceil(self.cfg.width_bytes).max(1) as u64;
-        cycles * units::clock_period_ghz(self.cfg.freq_ghz)
+        cycles * self.period
     }
 }
 
@@ -108,7 +112,7 @@ impl Module for Xbar {
         let start = self.next_free.max(ctx.now());
         self.next_free = start + occ;
         self.busy += occ;
-        let out_at = start + occ + units::ns(self.cfg.latency_ns);
+        let out_at = start + occ + self.latency;
 
         if pkt.cmd.is_request() {
             let dst = self.route(pkt.addr);

@@ -175,6 +175,8 @@ struct Channel {
 pub struct Dram {
     name: String,
     cfg: DramConfig,
+    /// Refresh interval and duration (`None` with refresh disabled).
+    refresh: Option<(Tick, Tick)>,
     channels: Vec<Channel>,
     reads: u64,
     writes: u64,
@@ -192,11 +194,13 @@ impl Dram {
     /// Create a DRAM endpoint with the given instance `name`.
     pub fn new(name: &str, cfg: DramConfig) -> Self {
         assert!(cfg.channels > 0 && cfg.banks > 0);
-        let first_ref = if cfg.timing.trefi_ns > 0.0 {
-            units::ns(cfg.timing.trefi_ns)
-        } else {
-            Tick::MAX
-        };
+        let refresh = (cfg.timing.trefi_ns > 0.0).then(|| {
+            (
+                units::ns(cfg.timing.trefi_ns),
+                units::ns(cfg.timing.trfc_ns),
+            )
+        });
+        let first_ref = refresh.map_or(Tick::MAX, |(trefi, _)| trefi);
         let channels = (0..cfg.channels)
             .map(|_| Channel {
                 queue: VecDeque::new(),
@@ -209,6 +213,7 @@ impl Dram {
         Dram {
             name: name.to_string(),
             cfg,
+            refresh,
             channels,
             reads: 0,
             writes: 0,
@@ -286,12 +291,9 @@ impl Dram {
     /// treating each as having run at its scheduled time (so long-idle
     /// periods don't serialize a backlog of tRFCs in front of new work).
     fn catch_up_refresh(&mut self, ch: usize, now: Tick) {
-        let t = self.cfg.timing;
-        if t.trefi_ns <= 0.0 {
+        let Some((trefi, trfc)) = self.refresh else {
             return;
-        }
-        let trefi = units::ns(t.trefi_ns);
-        let trfc = units::ns(t.trfc_ns);
+        };
         let chan = &mut self.channels[ch];
         while chan.next_ref <= now {
             let ref_at = chan.next_ref;

@@ -110,6 +110,7 @@ pub struct Smmu {
     name: String,
     cfg: SmmuConfig,
     downstream: ModuleId,
+    tlb_latency: Tick,
     /// vpn -> lru tick.
     tlb: FxHashMap<u64, u64>,
     lru_clock: u64,
@@ -132,6 +133,7 @@ impl Smmu {
             name: name.to_string(),
             cfg,
             downstream,
+            tlb_latency: units::ns(cfg.tlb_latency_ns),
             tlb: FxHashMap::default(),
             lru_clock: 0,
             walk_cache: FxHashMap::default(),
@@ -240,11 +242,7 @@ impl Smmu {
         pkt.addr = self.translate(pkt.addr);
         pkt.virt = false;
         pkt.route.push(ctx.self_id());
-        ctx.send(
-            self.downstream,
-            units::ns(self.cfg.tlb_latency_ns),
-            Msg::Packet(pkt),
-        );
+        ctx.send(self.downstream, self.tlb_latency, Msg::Packet(pkt));
     }
 
     fn start_walk(&mut self, pkt: PacketBox, arrived: Tick, ctx: &mut Ctx) {
@@ -341,11 +339,7 @@ impl Module for Smmu {
             if !pkt.virt {
                 // Untranslated traffic passes straight through.
                 pkt.route.push(ctx.self_id());
-                ctx.send(
-                    self.downstream,
-                    units::ns(self.cfg.tlb_latency_ns),
-                    Msg::Packet(pkt),
-                );
+                ctx.send(self.downstream, self.tlb_latency, Msg::Packet(pkt));
                 return;
             }
             self.stats.utlb_lookups += 1;
