@@ -5,13 +5,25 @@
 //!
 //! The misbehaving workers are tiny `/bin/sh` scripts (unix-only): each
 //! completes the PING handshake, then fails in its own way.
+//!
+//! Writing a script and spawning a worker happen under one lock. A
+//! `fork` copies every open descriptor, so a sibling test thread that
+//! forks while another still holds its script open for writing leaves
+//! that write descriptor alive in the forked child until it execs; an
+//! exec of the script in that window fails with `ETXTBSY` ("Text file
+//! busy").
 
 #![cfg(unix)]
 
 use accesys_accel::{ChildWorker, GemmOperands, SystolicConfig, WorkerError};
 use std::os::unix::fs::PermissionsExt;
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
+
+/// Held across every script write and every worker spawn (see the
+/// module docs), so no fork ever inherits a script's write descriptor.
+static SPAWN_LOCK: Mutex<()> = Mutex::new(());
 
 /// Write an executable `/bin/sh` script that plays a worker.
 fn fake_worker(name: &str, body: &str) -> PathBuf {
@@ -26,6 +38,13 @@ fn fake_worker(name: &str, body: &str) -> PathBuf {
     path
 }
 
+/// Write the fake worker `name` and spawn it through the handshake.
+fn spawn_fake_worker(name: &str, body: &str) -> ChildWorker {
+    let _guard = SPAWN_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    let path = fake_worker(name, body);
+    ChildWorker::spawn(&path).expect("handshake completes")
+}
+
 fn small_ops() -> GemmOperands {
     let (m, n, k) = (2usize, 2usize, 2usize);
     let a: Vec<i32> = (0..m * k).map(|x| x as i32).collect();
@@ -35,8 +54,7 @@ fn small_ops() -> GemmOperands {
 
 #[test]
 fn child_dying_mid_gemm_is_a_typed_error_not_a_hang() {
-    let path = fake_worker("dies", "read l; echo PONG; read l; exit 7");
-    let mut worker = ChildWorker::spawn(&path).expect("handshake completes");
+    let mut worker = spawn_fake_worker("dies", "read l; echo PONG; read l; exit 7");
     let start = Instant::now();
     let err = worker.run_gemm(&small_ops()).expect_err("child died");
     assert!(
@@ -52,11 +70,10 @@ fn child_dying_mid_gemm_is_a_typed_error_not_a_hang() {
 #[test]
 fn truncated_result_block_is_a_typed_error() {
     // Replies DONE but ships 4 of the 16 result bytes, then exits.
-    let path = fake_worker(
+    let mut worker = spawn_fake_worker(
         "truncates",
         "read l; echo PONG; read l; echo DONE; printf 'aaaa'; exit 0",
     );
-    let mut worker = ChildWorker::spawn(&path).expect("handshake completes");
     let err = worker.run_gemm(&small_ops()).expect_err("block truncated");
     assert!(
         matches!(err, WorkerError::Died(_)),
@@ -66,11 +83,10 @@ fn truncated_result_block_is_a_typed_error() {
 
 #[test]
 fn garbage_reply_is_a_protocol_error() {
-    let path = fake_worker(
+    let mut worker = spawn_fake_worker(
         "garbage",
         "read l; echo PONG; read l; echo BANANAS; cat >/dev/null",
     );
-    let mut worker = ChildWorker::spawn(&path).expect("handshake completes");
     let err = worker
         .block_time(SystolicConfig::default(), 1, 16, 16)
         .expect_err("garbage reply");
@@ -82,8 +98,7 @@ fn garbage_reply_is_a_protocol_error() {
 
 #[test]
 fn unresponsive_child_times_out_instead_of_hanging() {
-    let path = fake_worker("wedged", "read l; echo PONG; while :; do sleep 1; done");
-    let mut worker = ChildWorker::spawn(&path).expect("handshake completes");
+    let mut worker = spawn_fake_worker("wedged", "read l; echo PONG; while :; do sleep 1; done");
     worker.set_read_deadline(Duration::from_millis(150));
     let start = Instant::now();
     let err = worker
@@ -113,8 +128,7 @@ fn unresponsive_child_times_out_instead_of_hanging() {
 fn drop_kills_a_child_that_ignores_exit() {
     // After PONG the child becomes `sleep 600`: it never reads EXIT and
     // never exits on its own inside the drop grace.
-    let path = fake_worker("sleeper", "read l; echo PONG; exec sleep 600");
-    let worker = ChildWorker::spawn(&path).expect("handshake completes");
+    let worker = spawn_fake_worker("sleeper", "read l; echo PONG; exec sleep 600");
     let start = Instant::now();
     drop(worker);
     assert!(

@@ -8,9 +8,9 @@
 //! engine serves each host's shard, and the host shards themselves run
 //! in `accesys-fleet-worker` OS processes pooled across sweep points
 //! (`--fleet-workers`). The determinism contract stacks: the merged
-//! fleet report is byte-identical at any `--jobs`, any
-//! `--kernel-threads`, and any `--fleet-workers` count — CI pins the
-//! 1-vs-4-process comparison with `cmp`.
+//! fleet report is byte-identical at any `--jobs` and any
+//! `--fleet-workers` count — CI pins the 1-vs-4-process comparison
+//! with `cmp`.
 //!
 //! The scenario (testbed, request, traffic, policy, link model, sweep
 //! axes) lowers from the committed `specs/fleet_1k.spec`; its top grid
@@ -57,7 +57,7 @@ pub fn lower(sc: &FleetScenario, hosts: u32, shape: &str, scale: Scale) -> Fleet
             compute_ns: sc.system.compute_ns,
             smmu: sc.system.smmu,
             devmem: sc.system.devmem,
-            kernel_threads: sc.system.kernel_threads.unwrap_or(0),
+            kernel_threads: 0,
         },
         request: sc.request,
         traffic: FleetTraffic {

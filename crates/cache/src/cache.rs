@@ -377,8 +377,7 @@ impl Cache {
         // The fill inherits the requester's stream: a downstream
         // coherence point classifies CPU-vs-I/O side from it, so it must
         // reflect the original traffic class (never the packet id, which
-        // is an equality-only match key — the parallel domain engine
-        // allocates ids from per-domain chunks).
+        // is only an equality match key).
         fill.stream = self
             .parents
             .get(&op.parent)

@@ -50,9 +50,8 @@ pub struct HostSystem {
     pub smmu: bool,
     /// Uniform per-leaf device memory, if any.
     pub devmem: Option<MemTech>,
-    /// Parallel-kernel worker threads per host simulation (0 keeps the
-    /// [`SystemConfig`] default). Results are byte-identical at any
-    /// value — PR 9's contract, which the fleet contract stacks on.
+    /// Ignored: every host simulation runs on the sequential event loop.
+    /// Kept only so existing code that assigns it still compiles.
     pub kernel_threads: u32,
 }
 
@@ -65,9 +64,6 @@ impl HostSystem {
         }
         if !self.smmu {
             cfg.smmu = None;
-        }
-        if self.kernel_threads > 0 {
-            cfg.kernel_threads = self.kernel_threads;
         }
         cfg
     }

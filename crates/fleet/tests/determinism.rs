@@ -1,8 +1,8 @@
 //! The fleet determinism contract, with real worker processes: the
 //! merged fleet report must be **byte-identical** no matter how many
 //! `accesys-fleet-worker` OS processes compute the host shards — the
-//! cross-process sibling of `crates/bench/tests/thread_determinism.rs`
-//! (threads) and `determinism.rs` (sweep jobs).
+//! cross-process sibling of `crates/bench/tests/determinism.rs` (sweep
+//! jobs).
 
 use accesys_fleet::{FleetPool, FleetSpec};
 use std::path::PathBuf;

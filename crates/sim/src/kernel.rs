@@ -1,6 +1,5 @@
 //! The event kernel: ordered event queue plus the module registry.
 
-use crate::domain::DomainPlan;
 use crate::{EventQueue, Module, ModuleId, Msg, Stats, Tick, Tracer};
 
 /// The payload carried by every event-queue node: destination module plus
@@ -69,42 +68,20 @@ impl Default for RunLimit {
     }
 }
 
-/// Where a context's sends go.
-///
-/// The sequential hot loop hands handlers a [`Sink::Direct`] view of the
-/// event queue: each send is stamped with the kernel sequence counter *at
-/// call time* and pushed immediately, skipping the old buffer-then-drain
-/// round trip. Call order equals the old drain order, so the `(tick, seq)`
-/// total order — and therefore every observable result — is identical.
-/// The parallel domain engine (and the perf harness's pre-change
-/// reconstruction) still need sends collected for replay, which is what
-/// [`Sink::Buffered`] provides.
-pub(crate) enum Sink<'a> {
-    /// Collect sends; the caller commits (or discards) them after the
-    /// handler returns.
-    Buffered(&'a mut Vec<(Tick, ModuleId, Msg)>),
-    /// Push sends straight into the event queue, stamping `seq` in call
-    /// order and maintaining the kernel's depth statistics.
-    Direct {
-        queue: &'a mut EventQueue<Ev>,
-        seq: &'a mut u64,
-        virt_len: &'a mut usize,
-        virt_peak: &'a mut usize,
-        module_count: usize,
-    },
-}
-
 /// Per-delivery context handed to [`Module::handle`].
 ///
 /// Lets the module read time, learn its own id, allocate packet ids and
-/// schedule outgoing messages. Sends are sequence-stamped in call order,
-/// so simultaneous deliveries stay deterministic; if a handler panics
-/// mid-flight, its partial sends are discarded before the kernel resumes
-/// (callers may `catch_unwind` around a run).
+/// schedule outgoing messages. Each send is pushed straight into the
+/// kernel's event queue, stamped with the kernel sequence counter in call
+/// order, so simultaneous deliveries stay deterministic; if a handler
+/// panics mid-flight, its partial sends are struck from the queue before
+/// the kernel resumes (callers may `catch_unwind` around a run).
 pub struct Ctx<'a> {
     now: Tick,
     self_id: ModuleId,
-    sink: Sink<'a>,
+    queue: &'a mut EventQueue<Ev>,
+    seq: &'a mut u64,
+    module_count: usize,
     next_pkt_id: &'a mut u64,
 }
 
@@ -126,28 +103,16 @@ impl Ctx<'_> {
         id
     }
 
-    /// Append one send to the sink (common tail of the `send` family).
+    /// Push one send into the event queue, stamping the next sequence
+    /// number (common tail of the `send` family).
     #[inline]
     fn push(&mut self, when: Tick, dst: ModuleId, msg: Msg) {
-        match &mut self.sink {
-            Sink::Buffered(out) => out.push((when, dst, msg)),
-            Sink::Direct {
-                queue,
-                seq,
-                virt_len,
-                virt_peak,
-                module_count,
-            } => {
-                assert!(
-                    dst.index() < *module_count,
-                    "message sent to unknown module {dst}"
-                );
-                queue.push(when, **seq, (dst, msg));
-                **seq += 1;
-                **virt_len += 1;
-                **virt_peak = (**virt_peak).max(**virt_len);
-            }
-        }
+        assert!(
+            dst.index() < self.module_count,
+            "message sent to unknown module {dst}"
+        );
+        self.queue.push(when, *self.seq, (dst, msg));
+        *self.seq += 1;
     }
 
     /// Deliver `msg` to `dst` after `delay` ticks.
@@ -205,22 +170,6 @@ impl Ctx<'_> {
         let dst = self.self_id;
         self.send(dst, delay, Msg::Timer(tag));
     }
-
-    /// Build a context for a delivery outside the sequential hot loop
-    /// (the parallel domain engine drives handlers through this).
-    pub(crate) fn internal<'a>(
-        now: Tick,
-        self_id: ModuleId,
-        out: &'a mut Vec<(Tick, ModuleId, Msg)>,
-        next_pkt_id: &'a mut u64,
-    ) -> Ctx<'a> {
-        Ctx {
-            now,
-            self_id,
-            sink: Sink::Buffered(out),
-            next_pkt_id,
-        }
-    }
 }
 
 /// The discrete-event simulator: owns all modules and the event queue.
@@ -266,39 +215,19 @@ impl Ctx<'_> {
 /// assert_eq!(kernel.stats().get("counter.fired"), Some(2.0));
 /// ```
 pub struct Kernel {
-    pub(crate) time: Tick,
-    pub(crate) seq: u64,
-    pub(crate) next_pkt_id: u64,
-    pub(crate) queue: EventQueue<Ev>,
-    pub(crate) modules: Vec<Box<dyn Module>>,
-    pub(crate) events_processed: u64,
-    pub(crate) out_buf: Vec<(Tick, ModuleId, Msg)>,
-    pub(crate) tracer: Option<Box<dyn Tracer>>,
-    /// Domain partition installed by [`Kernel::set_partition`]; `None`
-    /// runs the classic sequential loop.
-    pub(crate) plan: Option<DomainPlan>,
-    /// Pending-event count mirrored outside the queue(s), so depth
-    /// statistics stay well-defined when events live in per-domain
-    /// queues during a parallel run.
-    pub(crate) virt_len: usize,
-    /// High-water mark of [`Kernel::virt_len`]; tracks the sequential
-    /// queue's own peak exactly (events enter and leave one at a time).
-    pub(crate) virt_peak: usize,
-    /// When enabled, records `(tick, seq, module index)` for every
-    /// delivered event, in commit order — the determinism tests compare
-    /// these streams across engine configurations.
-    pub(crate) order_probe: Option<Vec<(Tick, u64, u32)>>,
+    time: Tick,
+    seq: u64,
+    next_pkt_id: u64,
+    queue: EventQueue<Ev>,
+    modules: Vec<Box<dyn Module>>,
+    events_processed: u64,
+    tracer: Option<Box<dyn Tracer>>,
     /// First sequence number the currently running handler may stamp.
-    /// Set before each direct-sink dispatch and cleared when the handler
-    /// returns; if a panic unwinds past `run`, the surviving mark tells
-    /// the next `run`/`schedule` which queued events to strip (the
-    /// aborted handler's partial sends).
-    pub(crate) panic_strip_from: Option<u64>,
-    /// Route handler sends through the pre-change buffer-then-drain path
-    /// instead of the direct sink (behaviourally identical, only
-    /// slower); the perf harness flips this to reconstruct the
-    /// pre-change kernel in-process.
-    pub(crate) buffered_compat: bool,
+    /// Set before each dispatch and cleared when the handler returns; if
+    /// a panic unwinds past `run`, the surviving mark tells the next
+    /// `run`/`schedule` which queued events to strip (the aborted
+    /// handler's partial sends).
+    panic_strip_from: Option<u64>,
 }
 
 impl Default for Kernel {
@@ -317,41 +246,9 @@ impl Kernel {
             queue: EventQueue::new(),
             modules: Vec::new(),
             events_processed: 0,
-            out_buf: Vec::new(),
             tracer: None,
-            plan: None,
-            virt_len: 0,
-            virt_peak: 0,
-            order_probe: None,
             panic_strip_from: None,
-            buffered_compat: false,
         }
-    }
-
-    /// Route sends through the pre-change buffered path (perf-harness
-    /// reconstruction; observable results are identical).
-    #[doc(hidden)]
-    pub fn set_buffered_compat(&mut self, on: bool) {
-        self.buffered_compat = on;
-    }
-
-    /// Start recording the `(tick, seq, module)` commit order of every
-    /// delivered event (determinism diagnostics; cleared on each call).
-    #[doc(hidden)]
-    pub fn enable_order_probe(&mut self) {
-        self.order_probe = Some(Vec::new());
-    }
-
-    /// Take the recorded commit order (empty if the probe is disabled).
-    #[doc(hidden)]
-    pub fn take_order_probe(&mut self) -> Vec<(Tick, u64, u32)> {
-        self.order_probe.take().unwrap_or_default()
-    }
-
-    /// Name of the module at raw index `i` (probe diagnostics).
-    #[doc(hidden)]
-    pub fn module_name_of(&self, i: usize) -> &str {
-        self.modules[i].name()
     }
 
     /// Install an event [`Tracer`] (replacing any previous one).
@@ -381,10 +278,6 @@ impl Kernel {
     /// would silently merge two modules' counters.
     pub fn add_module(&mut self, module: Box<dyn Module>) -> ModuleId {
         self.assert_unique_name(module.name(), None);
-        // A new module invalidates any installed domain partition (it
-        // would not be covered by any domain); drop back to sequential
-        // until set_partition is called again.
-        self.plan = None;
         let id = ModuleId::from_index(self.modules.len());
         self.modules.push(module);
         id
@@ -464,14 +357,15 @@ impl Kernel {
     /// High-water mark of the event queue (pending events), for capacity
     /// planning and the perf harness.
     pub fn peak_queue_depth(&self) -> usize {
-        self.virt_peak
+        self.queue.peak_len()
     }
 
     /// Strip events that a panicking handler pushed into the queue
-    /// before it aborted. The direct sink commits sends eagerly, so a
-    /// caller that catches the panic and resumes must not see the
-    /// aborted handler's half-finished output; the surviving
+    /// before it aborted. [`Ctx`] commits sends eagerly, so a caller
+    /// that catches the panic and resumes must not see the aborted
+    /// handler's half-finished output; the surviving
     /// [`Kernel::panic_strip_from`] mark bounds exactly those events.
+    /// Re-pushing the survivors leaves the queue's peak depth as it was.
     fn discard_aborted_sends(&mut self) {
         let Some(mark) = self.panic_strip_from.take() else {
             return;
@@ -479,8 +373,6 @@ impl Kernel {
         for (when, seq, payload) in self.queue.drain_all() {
             if seq < mark {
                 self.queue.push(when, seq, payload);
-            } else {
-                self.virt_len -= 1;
             }
         }
     }
@@ -498,8 +390,6 @@ impl Kernel {
         self.discard_aborted_sends();
         self.queue.push(at.max(self.time), self.seq, (dst, msg));
         self.seq += 1;
-        self.virt_len += 1;
-        self.virt_peak = self.virt_peak.max(self.virt_len);
     }
 
     /// Run until the event queue drains, with default [`RunLimit`]s.
@@ -524,25 +414,11 @@ impl Kernel {
     /// Returns [`SimError::EventLimitExceeded`] if `limit.max_events` is
     /// exhausted before the queue drains.
     pub fn run(&mut self, limit: RunLimit) -> Result<Tick, SimError> {
-        // A multi-domain partition with threads > 1 runs on the parallel
-        // engine; a tracer forces the sequential loop (tracers observe
-        // deliveries in drain order, which only the sequential loop
-        // produces directly — results are identical either way).
-        if self
-            .plan
-            .as_ref()
-            .is_some_and(|p| p.threads > 1 && p.domains.len() > 1)
-            && self.tracer.is_none()
-        {
-            return self.run_parallel(limit);
-        }
         // If a previous run was aborted by a handler panic (callers may
         // catch_unwind around a run), the aborted handler's partial sends
         // are already committed to the queue; strip them rather than
-        // deliver them as if the handler had completed. (The buffered
-        // compat path leaves its partial sends in `out_buf` instead.)
+        // deliver them as if the handler had completed.
         self.discard_aborted_sends();
-        self.out_buf.clear();
         // Saturating: max_events = u64::MAX means "unlimited" and must
         // not overflow when added to a prior run's event count.
         let budget_end = self.events_processed.saturating_add(limit.max_events);
@@ -556,75 +432,44 @@ impl Kernel {
                     at: self.time,
                 });
             }
-            let (when, eseq, (dst, msg)) = self.queue.pop().expect("peeked event vanished");
-            if let Some(probe) = self.order_probe.as_mut() {
-                probe.push((when, eseq, dst.index() as u32));
-            }
+            let (when, _, (dst, msg)) = self.queue.pop().expect("peeked event vanished");
             debug_assert!(when >= self.time, "time went backwards");
             self.time = when;
             self.events_processed += 1;
-            self.virt_len -= 1;
 
-            {
-                // Disjoint field borrows: the handler pushes into the
-                // queue (or `out_buf`) while `modules` is borrowed, with
-                // no per-event `mem::take` round-trip.
-                let Kernel {
-                    time,
-                    seq,
-                    next_pkt_id,
-                    queue,
-                    modules,
-                    out_buf,
-                    tracer,
-                    virt_len,
-                    virt_peak,
-                    panic_strip_from,
-                    buffered_compat,
-                    ..
-                } = self;
-                let module_count = modules.len();
-                let module = modules
-                    .get_mut(dst.index())
-                    .unwrap_or_else(|| panic!("event for unknown module {dst}"));
-                if let Some(tracer) = tracer.as_mut() {
-                    tracer.on_event(when, dst, module.name(), &msg);
-                }
-                // Anything the handler stamps from here on is struck from
-                // the queue if it panics (see discard_aborted_sends).
-                *panic_strip_from = Some(*seq);
-                let sink = if *buffered_compat {
-                    Sink::Buffered(out_buf)
-                } else {
-                    Sink::Direct {
-                        queue,
-                        seq,
-                        virt_len,
-                        virt_peak,
-                        module_count,
-                    }
-                };
-                let mut ctx = Ctx {
-                    now: *time,
-                    self_id: dst,
-                    sink,
-                    next_pkt_id,
-                };
-                module.handle(msg, &mut ctx);
-                *panic_strip_from = None;
+            // Disjoint field borrows: the handler pushes into the queue
+            // while `modules` is borrowed, with no per-event `mem::take`
+            // round-trip.
+            let Kernel {
+                time,
+                seq,
+                next_pkt_id,
+                queue,
+                modules,
+                tracer,
+                panic_strip_from,
+                ..
+            } = self;
+            let module_count = modules.len();
+            let module = modules
+                .get_mut(dst.index())
+                .unwrap_or_else(|| panic!("event for unknown module {dst}"));
+            if let Some(tracer) = tracer.as_mut() {
+                tracer.on_event(when, dst, module.name(), &msg);
             }
-            if self.buffered_compat {
-                for (when, dst, msg) in self.out_buf.drain(..) {
-                    assert!(
-                        dst.index() < self.modules.len(),
-                        "message sent to unknown module {dst}"
-                    );
-                    self.queue.push(when, self.seq, (dst, msg));
-                    self.seq += 1;
-                    self.virt_len += 1;
-                    self.virt_peak = self.virt_peak.max(self.virt_len);
-                }
-            }
+            // Anything the handler stamps from here on is struck from the
+            // queue if it panics (see discard_aborted_sends).
+            *panic_strip_from = Some(*seq);
+            let mut ctx = Ctx {
+                now: *time,
+                self_id: dst,
+                queue,
+                seq,
+                module_count,
+                next_pkt_id,
+            };
+            module.handle(msg, &mut ctx);
+            *panic_strip_from = None;
         }
         Ok(self.time)
     }
@@ -654,7 +499,7 @@ impl Kernel {
         }
         all.add("kernel.events", self.events_processed as f64);
         all.add("kernel.final_tick", self.time as f64);
-        all.add("kernel.peak_queue_depth", self.virt_peak as f64);
+        all.add("kernel.peak_queue_depth", self.queue.peak_len() as f64);
         all
     }
 }
@@ -815,7 +660,7 @@ mod tests {
             }
             fn handle(&mut self, _msg: Msg, ctx: &mut Ctx) {
                 ctx.send(self.peer, 1, Msg::Timer(9));
-                panic!("handler aborts after a buffered send");
+                panic!("handler aborts after a send");
             }
         }
         let mut k = Kernel::new();
@@ -828,6 +673,39 @@ mod tests {
         // Resuming the kernel must not deliver the aborted handler's send.
         k.run_until_idle().unwrap();
         assert!(k.module::<Recorder>(sink).unwrap().log.is_empty());
+    }
+
+    #[test]
+    fn resumed_run_after_a_panic_delivers_only_new_events_and_keeps_the_peak() {
+        struct Bomb {
+            peer: ModuleId,
+        }
+        impl Module for Bomb {
+            fn name(&self) -> &str {
+                "bomb"
+            }
+            fn handle(&mut self, _msg: Msg, ctx: &mut Ctx) {
+                ctx.send(self.peer, 1, Msg::Timer(1));
+                ctx.send(self.peer, 2, Msg::Timer(2));
+                panic!("handler aborts after two sends");
+            }
+        }
+        let mut k = Kernel::new();
+        let sink = k.add_module(recorder("sink", ModuleId::INVALID));
+        let bomb = k.add_module(Box::new(Bomb { peer: sink }));
+        k.schedule(0, bomb, Msg::Timer(0));
+        let panicked =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| k.run_until_idle())).is_err();
+        assert!(panicked);
+        // The fresh schedule strips both aborted sends before it pushes.
+        k.schedule(5, sink, Msg::Timer(42));
+        k.run_until_idle().unwrap();
+        assert_eq!(k.module::<Recorder>(sink).unwrap().log, vec![(5, 42)]);
+        // The bomb's own delivery plus the resumed event.
+        assert_eq!(k.events_processed(), 2);
+        // The two aborted sends were queued at once before the strip.
+        assert_eq!(k.peak_queue_depth(), 2);
+        assert_eq!(k.stats().get("kernel.peak_queue_depth"), Some(2.0));
     }
 
     #[test]

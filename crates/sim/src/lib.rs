@@ -30,7 +30,6 @@
 //! ```
 #![warn(missing_docs)]
 
-mod domain;
 pub mod fxmap;
 mod hist;
 mod kernel;
@@ -138,9 +137,9 @@ impl<T: 'static> AsAny for T {
 /// to [`Msg`]s delivered by the [`Kernel`]. Outgoing messages are scheduled
 /// through the [`Ctx`] passed to [`Module::handle`].
 ///
-/// Modules must be [`Send`]: the parallel domain engine (see
-/// [`Kernel::set_partition`]) moves each domain's modules onto a worker
-/// thread for the duration of a run.
+/// Modules must be [`Send`] so a whole [`Kernel`] is `Send`: sweep
+/// points and fleet hosts build and run independent kernels on worker
+/// threads.
 pub trait Module: AsAny + Send + 'static {
     /// Short instance name used to prefix statistics (e.g. `"pcie.rc"`).
     fn name(&self) -> &str;

@@ -282,10 +282,10 @@ impl<T> EventQueue<T> {
     ///
     /// Unlike pop-draining, rewinding means the emptied queue can
     /// immediately accept re-pushes at *any* tick — pops would have
-    /// advanced `base_bucket` past earlier events. The parallel domain
-    /// engine ([`crate::Kernel::set_partition`]) uses this to deal the
-    /// main queue out to per-domain queues at the start of a run and to
-    /// collect leftovers back afterwards.
+    /// advanced `base_bucket` past earlier events. The kernel uses this
+    /// to strip a panicking handler's partial sends: it drains the
+    /// queue and re-pushes every survivor. Re-pushing never raises
+    /// [`EventQueue::peak_len`] above its pre-drain value.
     pub fn drain_all(&mut self) -> Vec<(Tick, u64, T)> {
         let mut out = Vec::with_capacity(self.len);
         for bucket in &mut self.buckets {
